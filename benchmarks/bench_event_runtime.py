@@ -418,19 +418,17 @@ def bench_fused(
 ) -> dict:
     """Fused-IR-backend throughput on the event benchmark's workload.
 
-    Cold startup (IR derivation + fold-schedule probe + first batch) is
+    Cold startup (IR derivation + fold-schedule lookup + first batch) is
     timed separately from the steady-state throughput so ``--check``
     can gate the IR-build tax on run startup.
     """
     from repro.ir import FusedFluxComputation
-    from repro.ir.schedule import _CACHE
 
     mesh = CartesianMesh3D(nx, ny, nz)
     fluid = FluidProperties()
     trans = Transmissibility(mesh)
     seq = PressureSequence(mesh, num_applications=applications, seed=7)
     pressures = [seq.field(i) for i in range(applications)]
-    _CACHE.clear()  # a warm process-wide cache would hide the probe cost
     t0 = time.perf_counter()
     drv = FusedFluxComputation(mesh, fluid, trans, dtype=np.float32)
     drv.run(pressures)

@@ -39,8 +39,9 @@ __all__ = [
 # event/lockstep are distinct in general (fabric arrival order vs
 # phased order) but coincide on the forced-order fabric shapes — the
 # golden registry encodes that per-artifact via tolerance_overrides.
-# fused replays the IR's probed per-PE arrival schedule, so it shares
-# the event fold class and must match event recordings to the bit.
+# fused replays the event fabric's per-PE arrival order (the IR's
+# closed-form fold schedule), so it shares the event fold class and
+# must match event recordings to the bit.
 FOLD_CLASS = {
     "event": "event",
     "fused": "event",

@@ -34,7 +34,8 @@ class CartesianMesh3D:
     origin:
         Coordinate of the minimum corner of cell (0, 0, 0) [m].
     permeability:
-        Scalar (homogeneous) or ``(nz, ny, nx)`` array of kappa [m^2].
+        Scalar (homogeneous, kept as a read-only broadcast view) or
+        ``(nz, ny, nx)`` array of kappa [m^2].
     porosity:
         Scalar or ``(nz, ny, nx)`` array of reference porosity [-]; only
         used by the implicit solver's accumulation term.
@@ -80,18 +81,29 @@ class CartesianMesh3D:
         else:
             check_positive(self.dz, name="dz")
             self._dz_column = np.full(self.nz, float(self.dz))
-        self.permeability = broadcast_to_shape(
-            self.permeability, self.shape_zyx, name="permeability"
-        )
-        check_positive(self.permeability, name="permeability")
-        self.porosity = broadcast_to_shape(self.porosity, self.shape_zyx, name="porosity")
-        check_positive(self.porosity, name="porosity")
+        self.permeability = self._rock_field(self.permeability, "permeability")
+        self.porosity = self._rock_field(self.porosity, "porosity")
         z0 = self.origin[2]
         tops = z0 + np.concatenate(([0.0], np.cumsum(self._dz_column)))
         centres = 0.5 * (tops[:-1] + tops[1:])
         self._elevation = np.broadcast_to(
             centres[:, None, None], self.shape_zyx
         )
+
+    def _rock_field(self, value, name: str) -> np.ndarray:
+        """A validated rock-property field of the storage shape.
+
+        A scalar becomes a read-only broadcast view (like ``elevation``),
+        so a homogeneous mesh costs no memory per cell; an array is
+        copied.
+        """
+        arr = np.asarray(value, dtype=np.float64)
+        if arr.ndim == 0:
+            check_positive(arr, name=name)
+            return np.broadcast_to(arr, self.shape_zyx)
+        arr = broadcast_to_shape(arr, self.shape_zyx, name=name)
+        check_positive(arr, name=name)
+        return arr
 
     # ------------------------------------------------------------------ #
     # Shape / size helpers

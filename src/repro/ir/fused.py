@@ -1,11 +1,10 @@
 """The fused backend: whole-array execution of the IR's per-color rounds.
 
-This is the raw-speed ceiling for pure Python: instead of simulating one
-message at a time (event) or one communication phase per application
-(lockstep), the fused backend batches *all* applications of a run along
-a leading axis and executes each per-color communication round as one
-whole-array NumPy kernel call — the ufunc count is independent of the
-number of applications.
+Instead of simulating one message at a time (event) or one
+communication phase per application (lockstep), the fused backend
+batches *all* applications of a run along a leading axis and executes
+each per-color communication round as one whole-array NumPy kernel
+call — the ufunc count is independent of the number of applications.
 
 Bit-identity with the event backend (same conform fold class) comes from
 two properties:
@@ -18,20 +17,23 @@ two properties:
   like the event backend's receive task does.
 * Per-connection contributions are first materialized into full-shape
   arrays, then folded into the residual **in the event backend's per-PE
-  arrival order** (the IR's probed fold schedule,
-  :mod:`repro.ir.schedule`): round ``k`` adds, for each connection, the
-  contribution of every PE whose ``k``-th arrival is that connection.
-  Each PE appears at most once per round, so its residual sees its
-  contributions in exactly its arrival order.  The one rewrite — the
-  contribution array holds ``0.0 + f`` rather than ``f`` — only flips
-  the sign of zero contributions, and a residual accumulated from
-  ``+0.0`` can never be ``-0.0``, so the flipped bit is unobservable
-  (same argument as the kernel's collapsed branch).
+  arrival order** (the closed-form fold schedule,
+  :mod:`repro.ir.schedule`).  The schedule cuts the fabric into at most
+  16 blocks of PEs sharing one arrival order — per axis the two edge
+  lines and the two interior stride-2 parities — so each block folds
+  with in-place basic-slice adds, one per connection in the block's
+  order, and every PE's residual sees its contributions in exactly its
+  arrival order.  That order is tabulated for ``reuse_buffers=True``
+  programs only, so only those lower to this backend.  The one
+  rewrite — the contribution array holds ``0.0 + f`` rather than
+  ``f`` — only flips the sign of zero contributions, and a residual
+  accumulated from ``+0.0`` can never be ``-0.0``, so the flipped bit
+  is unobservable (same argument as the kernel's collapsed branch).
 
 Fabric traffic is accounted arithmetically from the IR's exchange plan
-(2·nz words per face, 1 hop cardinal / 2 hops diagonal) — no halo
-copies are performed, which is also where the throughput win over the
-lockstep simulator comes from.
+(2·nz words per face, 1 hop cardinal / 2 hops diagonal, one FMOV per
+received word) — no halo copies are performed, yet the report equals
+the lockstep simulator's, which does copy.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from repro.dataflow.flux_pe import (
 from repro.dataflow.program import padded_trans_fields
 from repro.ir.builder import derive_ir
 from repro.ir.schema import KIND_PROGRAM, FabricProgramIR
-from repro.ir.schedule import arrival_schedule
+from repro.ir.schedule import _check_options, fold_blocks
 from repro.obs.spans import span
 from repro.wse.dsd import DsdEngine
 
@@ -64,7 +66,7 @@ __all__ = ["FusedFluxComputation", "FusedReport", "FusedRunResult"]
 @dataclass
 class FusedReport:
     """Aggregate accounting of a fused run (lockstep-report shape plus
-    the IR-build and schedule-probe startup costs)."""
+    the IR-build and fold-schedule startup costs)."""
 
     applications: int
     instruction_counts: dict[str, int]
@@ -148,11 +150,8 @@ class FusedFluxComputation:
         self.ir_build_seconds = perf_counter() - t0
         _check_ir_lowerable(ir, mesh, self.dtype)
         self.ir = ir
-        params = ir.params
-        self._reuse_buffers = params["reuse_buffers"]
-        self._overlap_compute = params["overlap_compute"]
         self._vectorized = ir.vectorized
-        self.compute_fluxes = params["compute_fluxes"]
+        self.compute_fluxes = ir.params["compute_fluxes"]
 
         if trans is None:
             trans = Transmissibility(mesh, dtype=self.dtype)
@@ -166,24 +165,27 @@ class FusedFluxComputation:
         self._gravity = _scalar(gravity)
         self._words_per_element = max(1, self.dtype.itemsize // 4)
         self._applications = 0
-        self._fabric_loads = 0
         self._fabric_word_hops = 0
 
-        # the probed fold schedule is a derived annotation: it amortizes
-        # like a backend compile step and stays out of the content hash
+        # the fold schedule is a derived annotation: it stays out of
+        # the content hash
         t1 = perf_counter()
-        schedule = arrival_schedule(
-            mesh.nx,
-            mesh.ny,
-            reuse_buffers=self._reuse_buffers,
-            overlap_compute=self._overlap_compute,
-            vectorized=self._vectorized,
-        )
-        self._rounds = _fold_rounds(schedule)
+        blocks = fold_blocks(mesh.nx, mesh.ny)
+        self._blocks = [
+            (ys, xs, tuple(Connection[name] for name in order))
+            for ys, xs, order in blocks
+        ]
         self.schedule_seconds = perf_counter() - t1
         ir.annotate(
             "fold_schedule",
-            {f"{x},{y}": list(order) for (x, y), order in sorted(schedule.items())},
+            [
+                {
+                    "y": list(ys.indices(mesh.ny)),
+                    "x": list(xs.indices(mesh.nx)),
+                    "order": list(order),
+                }
+                for ys, xs, order in blocks
+            ],
         )
 
     # ------------------------------------------------------------------ #
@@ -276,18 +278,17 @@ class FusedFluxComputation:
                         dx, dy, _dz = conn.offset
                         faces = (ny - abs(dy)) * (nx - abs(dx))
                         words = 2 * nz * faces * batch
-                        self._fabric_loads += words
+                        engine.account_fabric_moves(words)
                         self._fabric_word_hops += (
                             words * self._words_per_element * hops
                         )
 
-                # serial fold: event arrival order, one scatter-add per
-                # (round, connection) group
-                for groups in self._rounds:
-                    for conn, ys, xs in groups:
-                        residual[:, :, ys, xs] += contributions[conn][
-                            :, :, ys, xs
-                        ]
+                # serial fold: each block adds its contributions in its
+                # event arrival order, in place through basic slices
+                for ys, xs, order in self._blocks:
+                    block = residual[:, :, ys, xs]
+                    for conn in order:
+                        block += contributions[conn][:, :, ys, xs]
 
         self._applications += batch
         if self.record is not None:
@@ -312,7 +313,7 @@ class FusedFluxComputation:
             applications=self._applications,
             instruction_counts=dict(self.engine.counts),
             flops=self.engine.flops,
-            fabric_words_received=self._fabric_loads
+            fabric_words_received=self.engine.fabric_loads
             * self._words_per_element,
             fabric_word_hops=self._fabric_word_hops,
             compute_cycles=self.engine.cycles,
@@ -332,8 +333,9 @@ def _check_ir_lowerable(
     if ir.remap is not None:
         raise ValueError(
             "fused backend does not support spare-column remapping "
-            "(the fold schedule is probed on the unmapped fabric)"
+            "(the fold schedule is tabulated for the unmapped fabric)"
         )
+    _check_options(ir.params["reuse_buffers"], ir.params["overlap_compute"])
     if ir.mesh_shape != (mesh.nx, mesh.ny, mesh.nz):
         raise ValueError(
             f"IR was built for mesh {ir.mesh_shape}, got "
@@ -346,32 +348,3 @@ def _check_ir_lowerable(
     if not ir.exchange_plan:
         raise ValueError("IR carries no exchange plan to lower")
 
-
-def _fold_rounds(schedule) -> list[list[tuple[Connection, np.ndarray, np.ndarray]]]:
-    """Regroup the per-PE arrival schedule into scatter-add rounds.
-
-    Round ``k`` holds, per connection, the index arrays of every PE whose
-    ``k``-th arrival is that connection; a PE appears at most once per
-    round, so adding rounds in order replays each PE's serial fold.
-    """
-    if not schedule:
-        return []
-    depth = max(len(order) for order in schedule.values())
-    rounds = []
-    for k in range(depth):
-        groups: dict[str, list[tuple[int, int]]] = {}
-        for coord in sorted(schedule):
-            order = schedule[coord]
-            if k < len(order):
-                groups.setdefault(order[k], []).append(coord)
-        rounds.append(
-            [
-                (
-                    Connection[name],
-                    np.array([c[1] for c in coords], dtype=np.intp),
-                    np.array([c[0] for c in coords], dtype=np.intp),
-                )
-                for name, coords in groups.items()
-            ]
-        )
-    return rounds

@@ -18,7 +18,7 @@ document primary makes two properties trivial:
 * ``to_json``/``from_json`` round-trip byte-for-byte;
 * :attr:`FabricProgramIR.content_hash` — SHA-256 over the stable dump of
   the static definition — is identical across processes and platforms.
-  Derived data (e.g. the probed fold schedule) lives under
+  Derived data (e.g. the fused backend's fold schedule) lives under
   ``annotations`` and is *excluded* from the hash: annotations are
   recomputable caches, not part of the program's identity.
 

@@ -120,6 +120,15 @@ class DsdEngine:
         )
         self.cycles += per_elem * n
 
+    def account_fabric_moves(self, n: int) -> None:
+        """Book *n* FMOVs from the fabric without moving any data.
+
+        Exactly what :meth:`fmovs` with ``from_fabric=True`` books for
+        an *n*-element halo train: 1 store, 1 fabric load and one
+        datapath cycle slot per element, 0 FLOPs.
+        """
+        self._tally("FMOV", n)
+
     def account_flux_column(self, n: int) -> None:
         """Aggregate accounting of one flux-kernel column of length *n*.
 

@@ -1,5 +1,7 @@
 """Unit tests for CartesianMesh3D."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,22 @@ class TestConstruction:
     def test_numpy_integer_dims_accepted(self):
         m = CartesianMesh3D(np.int64(3), np.int32(2), np.int64(2))
         assert m.shape_xyz == (3, 2, 2)
+
+
+class TestMemory:
+    def test_homogeneous_rock_allocates_nothing_per_cell(self):
+        """Twice the paper's plane at full depth is 733M cells; dense
+        scalar rock fields would take 11.7 GB before any cell is used."""
+        tracemalloc.start()
+        try:
+            mesh = CartesianMesh3D(1500, 1988, 246)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+        assert mesh.permeability.shape == mesh.shape_zyx
+        assert not mesh.permeability.flags.writeable
+        assert not mesh.porosity.flags.writeable
 
 
 class TestGeometry:

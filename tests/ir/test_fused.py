@@ -14,12 +14,13 @@ import pytest
 
 from repro.core import CartesianMesh3D, FluidProperties, random_pressure
 from repro.dataflow import WseFluxComputation
-from repro.ir import derive_ir, ir_from_fabric
+from repro.ir import FusedFluxComputation, derive_ir, ir_from_fabric
 from repro.ir.lower import (
     lower_to_event,
     lower_to_fused,
     lower_to_lockstep,
 )
+from repro.ir import schedule
 from repro.workloads.geomodels import make_geomodel
 from repro.wse.fabric import Fabric
 
@@ -84,6 +85,21 @@ class TestLoweringsAgree:
         assert (r_event == r_lock).all()
         assert (r_event == r_fused).all()
 
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
+    @pytest.mark.parametrize(
+        "shape", [(1, 7, 3), (6, 1, 2), (1, 1, 3)], ids=str
+    )
+    def test_degenerate_fabrics_fold_bitwise(self, shape, dtype):
+        """1xN and Nx1 fabrics are where the strided fold's edge lines
+        and interior parities collapse into each other."""
+        mesh = make_geomodel(*shape, kind="lognormal", seed=5)
+        fluid = FluidProperties()
+        ir = derive_ir(mesh, dtype=dtype)
+        pressure = random_pressure(mesh, seed=11)
+        r_event = lower_to_event(ir, mesh, fluid).run_single(pressure).residual
+        r_fused = lower_to_fused(ir, mesh, fluid).run([pressure]).residual
+        assert (r_event == r_fused).all()
+
     def test_ir_lowered_event_matches_the_plain_event_driver(self):
         """Consuming IR-carried routes must not change the event bits."""
         mesh = make_geomodel(4, 3, 4, kind="channelized", seed=3)
@@ -109,3 +125,41 @@ class TestLoweringGuards:
         ir = derive_ir(CartesianMesh3D(3, 3, 3))
         with pytest.raises(ValueError, match="mesh"):
             lower_to_fused(ir, CartesianMesh3D(3, 3, 4), FluidProperties())
+
+    def test_no_reuse_program_is_rejected(self):
+        mesh = CartesianMesh3D(3, 3, 2)
+        ir = derive_ir(mesh, reuse_buffers=False)
+        with pytest.raises(ValueError, match="reuse_buffers"):
+            lower_to_fused(ir, mesh, FluidProperties())
+
+
+class TestColdStart:
+    def test_construction_never_runs_the_event_probe(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fused construction ran the event probe")
+
+        monkeypatch.setattr(schedule, "_probe", refuse)
+        mesh = CartesianMesh3D(9, 8, 2)
+        drv = FusedFluxComputation(mesh, FluidProperties())
+        drv.run([random_pressure(mesh, seed=1)])
+        assert len(drv.ir.annotations["fold_schedule"]) == 16
+
+
+class TestAccounting:
+    def test_fused_report_equals_lockstep_report(self):
+        """Fused books the halo FMOVs it never performs."""
+        mesh = CartesianMesh3D(16, 12, 6)
+        fluid = FluidProperties()
+        ir = derive_ir(mesh)
+        pressures = [random_pressure(mesh, seed=k) for k in range(2)]
+        fused = lower_to_fused(ir, mesh, fluid)
+        fused.run(pressures)
+        lockstep = lower_to_lockstep(ir, mesh, fluid)
+        lockstep.run(pressures)
+        got, want = fused.report(), lockstep.report()
+        assert got.instruction_counts == want.instruction_counts
+        assert got.instruction_counts["FMOV"] == 32_928
+        assert got.flops == want.flops
+        assert got.fabric_words_received == want.fabric_words_received
+        assert got.fabric_word_hops == want.fabric_word_hops
+        assert got.compute_cycles == want.compute_cycles
